@@ -73,10 +73,10 @@ func main() {
 		admitTimeout = flag.Duration("admit-timeout", server.DefaultAdmitTimeout, "shed Busy after waiting this long for a queue slot (0 = fail-fast)")
 		queueDepth   = flag.Int("queue-depth", 0, "worker queue bound (0 = 4x workers)")
 
-		govOff      = flag.Bool("governor-off", false, "disable the overload governor")
+		govOff      = flag.Bool("governor-off", false, "disable overload shedding (telemetry sampling continues)")
 		govRho      = flag.Float64("governor-rho", server.SaturationRho, "root rho_w above which update traffic is shed")
 		govExit     = flag.Float64("governor-exit-rho", 0, "root rho_w below which shedding may stop (0 = 0.8x governor-rho)")
-		govInterval = flag.Duration("governor-interval", 0, "rho_w sampling interval (0 = 250ms)")
+		govInterval = flag.Duration("governor-interval", 0, "telemetry and governor sampling interval (0 = 250ms)")
 		govRecover  = flag.Int("governor-recover", 0, "consecutive below-exit samples before recovery (0 = 4)")
 
 		chaosSpec = flag.String("chaos", "", "fault-injection spec for the listener, e.g. 'latency=100us,preset=0.001,pdrop=0.01,seed=7'")
@@ -85,7 +85,6 @@ func main() {
 		path       = flag.String("path", "", "disk engine data file (required with -engine disk)")
 		fsyncMode  = flag.String("fsync", "batch", "disk engine fsync policy: batch (group commit, one fsync per batch) or op (fsync every mutation)")
 		ckptOps    = flag.Int64("checkpoint-ops", 0, "disk engine: mutations of replay debt that trigger a checkpoint (0 = default 262144, negative disables)")
-		ckptMode   = flag.String("checkpoint-mode", "inc", "disk engine checkpoint mode: inc (incremental, concurrent with serving, bounded pause) or stw (stop-the-world baseline)")
 		ckptChunk  = flag.Int("checkpoint-chunk", 4096, "disk engine: keys walked per latched chunk of an incremental checkpoint")
 		cacheNodes = flag.Int("cache-nodes", 0, "disk engine buffer-pool size in nodes (0 = default 4096)")
 
@@ -133,11 +132,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "btserved: -fsync %q (want batch or op)\n", *fsyncMode)
 			os.Exit(2)
 		}
-		if *ckptMode != server.CheckpointIncremental && *ckptMode != server.CheckpointSTW {
-			fmt.Fprintf(os.Stderr, "btserved: -checkpoint-mode %q (want %s or %s)\n",
-				*ckptMode, server.CheckpointIncremental, server.CheckpointSTW)
-			os.Exit(2)
-		}
 		if *ckptChunk <= 0 {
 			fmt.Fprintf(os.Stderr, "btserved: -checkpoint-chunk %d (want > 0: an incremental checkpoint must make progress each latched chunk)\n", *ckptChunk)
 			os.Exit(2)
@@ -174,7 +168,6 @@ func main() {
 				CacheNodes:      *cacheNodes,
 				SyncEveryOp:     *fsyncMode == "op",
 				CheckpointOps:   *ckptOps,
-				CheckpointMode:  *ckptMode,
 				CheckpointChunk: *ckptChunk,
 			})
 			if err != nil {

@@ -139,7 +139,7 @@ func TestCommitFailureNeverAcks(t *testing.T) {
 	}
 	mbody, _ := io.ReadAll(mr.Body)
 	mr.Body.Close()
-	if !strings.Contains(string(mbody), "kind=disk poisoned=true") {
+	if !strings.Contains(string(mbody), "engine=disk poisoned=true") {
 		t.Fatalf("metrics missing poisoned engine line:\n%s", mbody)
 	}
 }
@@ -194,7 +194,7 @@ func TestMemEngineDefault(t *testing.T) {
 	}
 	body, _ := io.ReadAll(mr.Body)
 	mr.Body.Close()
-	if !strings.Contains(string(body), "engine kind=mem poisoned=false") {
+	if !strings.Contains(string(body), "engine engine=mem poisoned=false") {
 		t.Fatalf("metrics missing engine line:\n%s", body)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
+
+	"btreeperf/internal/metrics"
 )
 
 // GovState is the overload governor's health state, exposed on /healthz
@@ -53,11 +55,16 @@ func (g GovState) String() string {
 // back to GovOK. Under a sustained overload this duty-cycles admission:
 // shed until the root cools off, re-admit, shed again — bounding root
 // ρ_w near the threshold instead of collapsing past it.
+//
+// The governor's ticker is also the shard's only telemetry sampler: every
+// Interval it stores the window since its previous sample, and /metrics,
+// /debug/model and the governor itself all read that one stored window.
+// Disabled turns shedding off; sampling continues.
 type GovernorConfig struct {
 	Disabled     bool
 	Rho          float64       // enter threshold on root ρ_w; default SaturationRho (.5)
 	ExitRho      float64       // leave threshold; default 0.8·Rho
-	Interval     time.Duration // measurement interval; default 250ms
+	Interval     time.Duration // telemetry and governor sampling interval; default 250ms
 	RecoverTicks int           // consecutive below-ExitRho intervals to stop shedding; default 4
 }
 
@@ -91,17 +98,26 @@ type GovStatus struct {
 	Disabled     bool
 }
 
-// governor watches one shard's root ρ_w and flips that shard's shedding
-// switch.
+// governor samples one shard's telemetry and flips that shard's
+// shedding switch on the sampled root ρ_w.
 type governor struct {
 	cfg   GovernorConfig
 	sh    *shard
-	win   windowState
 	state atomic.Int32
 	shed  atomic.Bool
 	rho   atomic.Uint64 // float64 bits of last measurement
 	trans atomic.Int64
 	below int // consecutive intervals below ExitRho while overloaded
+
+	// Sampler state, owned by the loop goroutine: the cumulative
+	// counters as of the previous sample.
+	prev     metrics.Snapshot
+	prevOps  int64
+	prevNs   int64
+	prevHist metrics.HistSnapshot
+
+	// last is the latest stored sample; never nil, never mutated.
+	last atomic.Pointer[window]
 
 	stopCh chan struct{}
 
@@ -109,8 +125,37 @@ type governor struct {
 	rhoFn func() float64
 }
 
+// window is one sampler interval of a shard. The first covers the time
+// since the server started; before it, last holds an empty window.
+type window struct {
+	Dt        float64 // seconds
+	Height    int     // tree height at the sample: the root is this level
+	Rates     []metrics.LevelRates
+	OpRate    float64 // operations per second
+	Ops       int64   // operations in the window
+	ObsMeanNs float64 // observed mean per-op tree service time
+	OpHist    metrics.HistSnapshot
+
+	// next is closed when the following sample replaces this one, so a
+	// waiter can block until a fresh sample lands.
+	next chan struct{}
+}
+
+// rootRhoW returns the measured ρ_w of the window's root level.
+func (w *window) rootRhoW() float64 {
+	for _, r := range w.Rates {
+		if r.Level == w.Height {
+			return r.RhoW
+		}
+	}
+	return 0
+}
+
 func newGovernor(sh *shard, cfg GovernorConfig) *governor {
-	return &governor{cfg: cfg, sh: sh, stopCh: make(chan struct{})}
+	g := &governor{cfg: cfg, sh: sh, stopCh: make(chan struct{})}
+	g.prev = metrics.Snapshot{At: sh.srv.start}
+	g.last.Store(&window{next: make(chan struct{})})
+	return g
 }
 
 // shedding is the admission-path check: true while updates must be shed.
@@ -131,14 +176,10 @@ func (g *governor) Status() GovStatus {
 	}
 }
 
-// start launches the measurement loop; the returned channel closes when
-// the loop exits. Disabled governors return an already-closed channel.
+// start launches the sampling loop; the returned channel closes when the
+// loop exits. A disabled governor still samples but never sheds.
 func (g *governor) start() <-chan struct{} {
 	done := make(chan struct{})
-	if g.cfg.Disabled {
-		close(done)
-		return done
-	}
 	go func() {
 		defer close(done)
 		t := time.NewTicker(g.cfg.Interval)
@@ -148,7 +189,17 @@ func (g *governor) start() <-chan struct{} {
 			case <-g.stopCh:
 				return
 			case <-t.C:
-				g.tick(g.measure())
+				w := g.sample()
+				if !g.cfg.Disabled {
+					rho := w.rootRhoW()
+					if g.rhoFn != nil {
+						rho = g.rhoFn()
+					}
+					g.tick(rho)
+				}
+				// Publish after the tick: a reader of this sample sees the
+				// governor state it produced.
+				close(g.last.Swap(w).next)
 			}
 		}
 	}()
@@ -163,20 +214,31 @@ func (g *governor) stop() {
 	}
 }
 
-// measure returns the shard's root ρ_w over the interval since the last
-// measurement.
-func (g *governor) measure() float64 {
-	if g.rhoFn != nil {
-		return g.rhoFn()
+// sample captures the shard's probe, op histogram and op counters and
+// returns the window since the previous sample.
+func (g *governor) sample() *window {
+	sh := g.sh
+	cur := sh.probe.Snapshot()
+	ops := sh.opCount.Load()
+	opNs := sh.opNsSum.Load()
+	hist := sh.opLat.Snapshot()
+
+	w := &window{
+		Dt:     cur.At.Sub(g.prev.At).Seconds(),
+		Height: sh.eng.Height(),
+		Rates:  metrics.Rates(g.prev, cur),
+		Ops:    ops - g.prevOps,
+		OpHist: hist.Sub(g.prevHist),
+		next:   make(chan struct{}),
 	}
-	win := g.win.advance(g.sh)
-	height := g.sh.eng.Height()
-	for _, r := range win.Rates {
-		if r.Level == height {
-			return r.RhoW
-		}
+	if w.Dt > 0 {
+		w.OpRate = float64(w.Ops) / w.Dt
 	}
-	return 0
+	if w.Ops > 0 {
+		w.ObsMeanNs = float64(opNs-g.prevNs) / float64(w.Ops)
+	}
+	g.prev, g.prevOps, g.prevNs, g.prevHist = cur, ops, opNs, hist
+	return w
 }
 
 // tick advances the hysteretic state machine on one measurement.
@@ -236,6 +298,3 @@ func (s *Server) Governor() GovStatus {
 	}
 	return st
 }
-
-// ShardGovernor exposes one shard's governor status.
-func (s *Server) ShardGovernor(i int) GovStatus { return s.shards[i].gov.Status() }

@@ -5,10 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/pprof"
-	"sync"
+	"reflect"
+	"strconv"
+	"strings"
 	"time"
 
 	"btreeperf/internal/core"
@@ -27,59 +28,6 @@ import (
 // independently at this same value.
 const SaturationRho = 0.5
 
-// windowState differences one shard's probe snapshots between scrapes so
-// each endpoint reports rates over the interval since its previous scrape
-// (the first scrape covers the time since the server started).
-type windowState struct {
-	mu       sync.Mutex
-	prev     metrics.Snapshot
-	prevOps  int64
-	prevNs   int64
-	prevHist metrics.HistSnapshot
-}
-
-// window is one evaluated scrape interval.
-type window struct {
-	Dt        float64 // seconds
-	Rates     []metrics.LevelRates
-	OpRate    float64 // operations per second
-	Ops       int64   // operations in the window
-	ObsMeanNs float64 // observed mean per-op tree service time
-	OpHist    metrics.HistSnapshot
-}
-
-// advance captures a new snapshot of the shard and returns the window
-// since the last.
-func (w *windowState) advance(sh *shard) window {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.prev.At.IsZero() {
-		w.prev = metrics.Snapshot{At: sh.srv.start}
-	}
-	cur := sh.probe.Snapshot()
-	ops := sh.opCount.Load()
-	opNs := sh.opNsSum.Load()
-	hist := sh.opLat.Snapshot()
-
-	out := window{
-		Dt:     cur.At.Sub(w.prev.At).Seconds(),
-		Rates:  metrics.Rates(w.prev, cur),
-		Ops:    ops - w.prevOps,
-		OpHist: hist.Sub(w.prevHist),
-	}
-	if out.Dt > 0 {
-		out.OpRate = float64(out.Ops) / out.Dt
-	}
-	if out.Ops > 0 {
-		out.ObsMeanNs = float64(opNs-w.prevNs) / float64(out.Ops)
-	}
-	w.prev = cur
-	w.prevOps = ops
-	w.prevNs = opNs
-	w.prevHist = hist
-	return out
-}
-
 // rootRho returns the measured and model ρ_w at the root level, and
 // whether either crosses the saturation threshold.
 func rootRho(points []metrics.ModelPoint, height int) (measured, model float64, saturated bool) {
@@ -94,40 +42,6 @@ func rootRho(points []metrics.ModelPoint, height int) (measured, model float64, 
 	}
 	saturated = measured >= SaturationRho || model >= SaturationRho
 	return measured, model, saturated
-}
-
-// shardScrape is one shard's fully evaluated scrape: its window, its
-// model points, and its engine stats, captured together so the per-shard
-// and merged views of one HTTP response agree with each other.
-type shardScrape struct {
-	sh        *shard
-	win       window
-	points    []metrics.ModelPoint
-	height    int
-	es        EngineStats
-	poisoned  bool
-	rhoMeas   float64
-	rhoModel  float64
-	saturated bool
-}
-
-// scrape advances the selected window of every shard and evaluates the
-// model at each shard's measured parameters.
-func (s *Server) scrape(winOf func(*shard) *windowState) []shardScrape {
-	out := make([]shardScrape, len(s.shards))
-	for i, sh := range s.shards {
-		sc := shardScrape{
-			sh:       sh,
-			win:      winOf(sh).advance(sh),
-			height:   sh.eng.Height(),
-			es:       sh.eng.Stats(),
-			poisoned: sh.eng.Poisoned() != nil,
-		}
-		sc.points = metrics.EvaluateAll(sc.win.Rates)
-		sc.rhoMeas, sc.rhoModel, sc.saturated = rootRho(sc.points, sc.height)
-		out[i] = sc
-	}
-	return out
 }
 
 // Handler returns the HTTP mux serving /metrics, /debug/model, and
@@ -216,14 +130,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		g.RootRhoW, g.Rho, g.ExitRho, g.ShedOverload, g.ShedBusy, g.ConnRejects)
 	if rs := s.replicationStats(); rs != nil {
 		seqs := make([]int64, len(s.shards))
-		var lag int64
 		for i := range s.shards {
 			seqs[i] = s.shardSeq(i)
 		}
-		if rs.Follower != nil {
-			lag = rs.Follower.LagSeqs
-		}
-		fmt.Fprintf(w, "replication role=%s seqs=%v lag_seqs=%d\n", rs.Role, seqs, lag)
+		fmt.Fprintf(w, "replication role=%s seqs=%v lag_seqs=%d\n", rs.Role, seqs, rs.LagSeqs)
 	} else if se, ok := s.shards[0].eng.(seqEngine); ok && se.Journal() != nil {
 		// Unreplicated but journal-backed: still report the durable seqs —
 		// the committed bound a future follower would resume from.
@@ -242,50 +152,102 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// metricsJSON is the ?format=json shape of /metrics. On a multi-shard
-// server the top-level fields are the merged view (counts summed, root
-// ρ_w the max over shards, histograms merged) and ShardBlocks carries
-// each shard's own block; a single-shard server reports its one shard at
-// the top level, with no shard blocks, exactly as before sharding.
-type metricsJSON struct {
-	UptimeS   float64 `json:"uptime_s"`
-	Algorithm string  `json:"algorithm"`
-	Capacity  int     `json:"capacity"`
-	Shards    int     `json:"shards"`
-	Keys      int     `json:"keys"`
-	Height    int     `json:"height"`
-	Workers   int     `json:"workers"`
-	Conns     int64   `json:"connections"`
-	WindowS   float64 `json:"window_s"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	Gets      int64   `json:"gets"`
-	Puts      int64   `json:"puts"`
-	Dels      int64   `json:"dels"`
-	BadReqs   int64   `json:"bad_requests"`
+// metricsReport is /metrics: rendered as JSON with ?format=json, else as
+// text through writeText. On a multi-shard server the embedded snapshot
+// is the merged view (mergeSnapshots) and ShardBlocks carries each
+// shard's own snapshot; a single-shard server reports its one shard at
+// the top level, with no shard blocks.
+type metricsReport struct {
+	serverLine `text:"btserved"`
+	shardSnapshot
 
-	// Query traffic: pages served (a scan of k pages counts k), entries
-	// returned on those pages, and — when the server runs the secondary
-	// index — lookup pages, lookup entries, and the index's current size.
-	Scans      int64   `json:"scan_pages"`
-	ScanKeys   int64   `json:"scan_keys"`
-	Seeks      int64   `json:"seeks"`
-	Lookups    int64   `json:"lookup_pages"`
-	LookupKeys int64   `json:"lookup_keys"`
-	Indexed    bool    `json:"indexed"`
-	IndexKeys  int64   `json:"index_keys"`
-	OpMeanUs   float64 `json:"op_mean_us"`
-	OpP50Us    float64 `json:"op_p50_us"`
-	OpP99Us    float64 `json:"op_p99_us"`
-	Splits     int64   `json:"splits"`
-	Restarts   int64   `json:"restarts"`
-	Crossings  int64   `json:"crossings"`
-	RootRhoW   float64 `json:"root_rho_w"`
-	Saturated  bool    `json:"saturated"`
+	// Replication is present only on a leader or follower.
+	Replication *replicationJSON `json:"replication,omitempty" text:"replication"`
+
+	ShardBlocks []shardBlock `json:"shard_blocks,omitempty" text:"-"`
+}
+
+// shardBlock is one shard's snapshot on a multi-shard /metrics.
+type shardBlock struct {
+	Shard int `json:"shard"`
+	shardSnapshot
+}
+
+type serverLine struct {
+	UptimeS       float64 `json:"uptime_s"`
+	Algorithm     string  `json:"algorithm"`
+	Capacity      int     `json:"capacity"`
+	Shards        int     `json:"shards"`
+	Workers       int     `json:"workers"`
+	Conns         int64   `json:"connections"`
+	ConnRejects   int64   `json:"conn_rejects"`
+	ReadTimeouts  int64   `json:"read_timeouts"`
+	WriteTimeouts int64   `json:"write_timeouts"`
+}
+
+// shardSnapshot is one shard's telemetry as a read sees it: cumulative
+// counters as of the read, and the window of the shard's last sample
+// with the queueing model evaluated at it. Each embedded struct is one
+// text line and flattens into the JSON object.
+type shardSnapshot struct {
+	treeLine       `text:"tree"`
+	opsLine        `text:"ops"`
+	latencyLine    `text:"op_latency_us"`
+	queryLine      `text:"query"`
+	engineLine     `text:"engine"`
+	checkpointLine `text:"checkpoint"`
+	seqLine        `text:"seqs"`
+	governorLine   `text:"governor"`
+	saturationLine `text:"saturation"`
+
+	Levels []levelLine `json:"levels"`
+
+	win    *window              // the sample the windowed fields describe
+	points []metrics.ModelPoint // the model evaluated at win
+}
+
+type treeLine struct {
+	Keys      int   `json:"keys"`
+	Height    int   `json:"height"`
+	Splits    int64 `json:"splits"`
+	Restarts  int64 `json:"restarts"`
+	Crossings int64 `json:"crossings"`
 
 	// OLC latch-free read telemetry; zero under the locking algorithms.
 	ReadRestarts  int64 `json:"read_restarts"`
 	ReadFallbacks int64 `json:"read_fallbacks"`
+}
 
+type opsLine struct {
+	WindowS   float64 `json:"window_s"`    // the last sample's interval
+	OpsPerSec float64 `json:"ops_per_sec"` // over the last sample
+	Gets      int64   `json:"gets"`
+	Puts      int64   `json:"puts"`
+	Dels      int64   `json:"dels"`
+	BadReqs   int64   `json:"bad_requests"`
+}
+
+// latencyLine is the per-op tree service time over the last sample.
+type latencyLine struct {
+	OpMeanUs float64 `json:"op_mean_us"`
+	OpP50Us  float64 `json:"op_p50_us"`
+	OpP99Us  float64 `json:"op_p99_us"`
+}
+
+// queryLine is query traffic: pages served (a scan of k pages counts
+// k), entries returned on those pages, and — when the server runs the
+// secondary index — lookup pages, lookup entries, and the index's size.
+type queryLine struct {
+	Scans      int64 `json:"scan_pages"`
+	ScanKeys   int64 `json:"scan_keys"`
+	Seeks      int64 `json:"seeks"`
+	Lookups    int64 `json:"lookup_pages"`
+	LookupKeys int64 `json:"lookup_keys"`
+	Indexed    bool  `json:"indexed"`
+	IndexKeys  int64 `json:"index_keys"`
+}
+
+type engineLine struct {
 	Engine        string `json:"engine"` // mem | disk
 	Poisoned      bool   `json:"poisoned"`
 	Recovered     int64  `json:"recovered_ops"`
@@ -298,24 +260,32 @@ type metricsJSON struct {
 	CkptFails     int64  `json:"ckpt_fails"`
 	CommitFails   int64  `json:"commit_fails"`
 	Unavail       int64  `json:"unavail"`
+}
 
-	// Global sequence positions (summed over shards on a multi-shard
-	// server; per-shard values are in the shard blocks and on /healthz),
-	// oplog-segment retention held for lagging followers, and the stop-
-	// the-world checkpoint pause (max over shards).
-	SeqAppended     int64   `json:"seq_appended"`
-	SeqDurable      int64   `json:"seq_durable"`
-	SeqLowest       int64   `json:"seq_lowest"`
-	RetainedSegs    int64   `json:"retained_segments"`
-	RetainedBytes   int64   `json:"retained_bytes"`
+// checkpointLine is the checkpoint install pause and the in-flight
+// walk's progress.
+type checkpointLine struct {
 	CkptPauseLastUs float64 `json:"ckpt_pause_last_us"`
 	CkptPauseMaxUs  float64 `json:"ckpt_pause_max_us"`
 	CkptChunksDone  int64   `json:"ckpt_chunks_done"`
 	CkptChunksTotal int64   `json:"ckpt_chunks_total"`
+}
 
-	// Replication is present only on a leader or follower.
-	Replication *replicationJSON `json:"replication,omitempty"`
+// seqLine is the global sequence positions and the oplog-segment
+// retention held for lagging followers.
+type seqLine struct {
+	SeqAppended   int64 `json:"seq_appended"`
+	SeqDurable    int64 `json:"seq_durable"`
+	SeqLowest     int64 `json:"seq_lowest"`
+	RetainedSegs  int64 `json:"retained_segments"`
+	RetainedBytes int64 `json:"retained_bytes"`
 
+	// Seq is the replication sequence: applied on a follower, durable on
+	// a journal-backed leader, zero otherwise.
+	Seq int64 `json:"seq"`
+}
+
+type governorLine struct {
 	Governor      string  `json:"governor"` // ok | degraded | overloaded | disabled
 	GovernorRhoW  float64 `json:"governor_rho_w"`
 	GovernorRho   float64 `json:"governor_threshold"`
@@ -323,58 +293,272 @@ type metricsJSON struct {
 	GovernorFlips int64   `json:"governor_transitions"`
 	ShedOverload  int64   `json:"shed_overload"`
 	ShedBusy      int64   `json:"shed_busy"`
-	ConnRejects   int64   `json:"conn_rejects"`
-	ReadTimeouts  int64   `json:"read_timeouts"`
-	WriteTimeouts int64   `json:"write_timeouts"`
-
-	Levels []levelMetricsJSON `json:"levels"`
-
-	ShardBlocks []shardMetricsJSON `json:"shard_blocks,omitempty"`
 }
 
-// shardMetricsJSON is one shard's block on a multi-shard /metrics.
-type shardMetricsJSON struct {
-	Shard         int     `json:"shard"`
-	Keys          int     `json:"keys"`
-	Height        int     `json:"height"`
-	WindowS       float64 `json:"window_s"`
-	OpsPerSec     float64 `json:"ops_per_sec"`
-	Gets          int64   `json:"gets"`
-	Puts          int64   `json:"puts"`
-	Dels          int64   `json:"dels"`
-	Scans         int64   `json:"scan_pages"`
-	ScanKeys      int64   `json:"scan_keys"`
-	Seeks         int64   `json:"seeks"`
-	Lookups       int64   `json:"lookup_pages"`
-	LookupKeys    int64   `json:"lookup_keys"`
-	OpMeanUs      float64 `json:"op_mean_us"`
-	OpP50Us       float64 `json:"op_p50_us"`
-	OpP99Us       float64 `json:"op_p99_us"`
-	Splits        int64   `json:"splits"`
-	Restarts      int64   `json:"restarts"`
-	Crossings     int64   `json:"crossings"`
-	ReadRestarts  int64   `json:"read_restarts"`
-	ReadFallbacks int64   `json:"read_fallbacks"`
-	RootRhoW      float64 `json:"root_rho_w"`
-	ModelRhoW     float64 `json:"model_rho_w"`
-	Saturated     bool    `json:"saturated"`
-	Poisoned      bool    `json:"poisoned"`
-	CommitFails   int64   `json:"commit_fails"`
-	Unavail       int64   `json:"unavail"`
-	Governor      string  `json:"governor"`
-	GovernorRhoW  float64 `json:"governor_rho_w"`
-	ShedOverload  int64   `json:"shed_overload"`
-	ShedBusy      int64   `json:"shed_busy"`
+func govLine(g GovStatus) governorLine {
+	name := g.State.String()
+	if g.Disabled {
+		name = "disabled"
+	}
+	return governorLine{
+		Governor:      name,
+		GovernorRhoW:  g.RootRhoW,
+		GovernorRho:   g.Rho,
+		GovernorExit:  g.ExitRho,
+		GovernorFlips: g.Transitions,
+		ShedOverload:  g.ShedOverload,
+		ShedBusy:      g.ShedBusy,
+	}
+}
 
-	// Seq is the shard's replication sequence: applied on a follower,
-	// durable on a journal-backed leader, zero otherwise.
-	Seq int64 `json:"seq"`
+// saturationLine is the root ρ_w of the last sample, measured and as
+// the model predicts it.
+type saturationLine struct {
+	RootRhoW  float64 `json:"root_rho_w"`
+	ModelRhoW float64 `json:"model_rho_w"`
+	Saturated bool    `json:"saturated"`
+}
 
-	Levels []levelMetricsJSON `json:"levels"`
+// snapshot reads one shard's telemetry. It evaluates the model at the
+// shard's last sample and writes no shared state.
+func (s *Server) snapshot(sh *shard) shardSnapshot {
+	w := sh.gov.last.Load()
+	es := sh.eng.Stats()
+	sn := shardSnapshot{win: w, points: metrics.EvaluateAll(w.Rates)}
+	sn.treeLine = treeLine{
+		Keys: sh.eng.Len(), Height: sh.eng.Height(),
+		Splits: es.Splits, Restarts: es.Restarts, Crossings: es.Crossings,
+		ReadRestarts: es.ReadRestarts, ReadFallbacks: es.ReadFallbacks,
+	}
+	sn.opsLine = opsLine{
+		WindowS: w.Dt, OpsPerSec: w.OpRate,
+		Gets: sh.gets.Load(), Puts: sh.puts.Load(), Dels: sh.dels.Load(), BadReqs: sh.opBad.Load(),
+	}
+	sn.latencyLine = latencyOf(w.ObsMeanNs, w.OpHist)
+	sn.queryLine = queryLine{
+		Scans: sh.scans.Load(), ScanKeys: sh.scanKeys.Load(), Seeks: sh.seeks.Load(),
+		Lookups: sh.lookups.Load(), LookupKeys: sh.lookupKeys.Load(), Indexed: sh.idx != nil,
+	}
+	if sh.idx != nil {
+		sn.IndexKeys = int64(sh.idx.Len())
+	}
+	sn.engineLine = engineLine{
+		Engine: sh.eng.Kind(), Poisoned: sh.eng.Poisoned() != nil, Recovered: es.Recovered,
+		OplogAppended: es.Appended, OplogSynced: es.Synced, OplogBytes: es.OplogBytes,
+		Fsyncs: es.Fsyncs, Checkpoints: es.Checkpoints, CheckpointLag: es.CheckpointLag,
+		CkptFails: es.CheckpointFails, CommitFails: sh.commitFails.Load(), Unavail: sh.unavail.Load(),
+	}
+	sn.checkpointLine = checkpointLine{
+		CkptPauseLastUs: float64(es.CkptPauseLastNs) / 1e3, CkptPauseMaxUs: float64(es.CkptPauseMaxNs) / 1e3,
+		CkptChunksDone: es.CkptChunksDone, CkptChunksTotal: es.CkptChunksTotal,
+	}
+	sn.seqLine = seqLine{
+		SeqAppended: es.SeqAppended, SeqDurable: es.SeqDurable, SeqLowest: es.SeqLowest,
+		RetainedSegs: es.RetainedSegs, RetainedBytes: es.RetainedBytes, Seq: s.shardSeq(sh.id),
+	}
+	sn.governorLine = govLine(sh.gov.Status())
+	sn.RootRhoW, sn.ModelRhoW, sn.Saturated = rootRho(sn.points, w.Height)
+	sn.Levels = levelLines(sn.points, w.Height)
+	return sn
+}
+
+func (s *Server) snapshots() []shardSnapshot {
+	out := make([]shardSnapshot, len(s.shards))
+	for i, sh := range s.shards {
+		out[i] = s.snapshot(sh)
+	}
+	return out
+}
+
+func latencyOf(meanNs float64, h metrics.HistSnapshot) latencyLine {
+	return latencyLine{
+		OpMeanUs: meanNs / 1e3,
+		OpP50Us:  float64(h.Quantile(0.5)) / 1e3,
+		OpP99Us:  float64(h.Quantile(0.99)) / 1e3,
+	}
+}
+
+// mergeSnapshots folds per-shard snapshots into the merged view: counts,
+// sizes and rates sum; height, window, checkpoint pauses and ρ_w take
+// the max; latencies come from the bucket-merged op histograms and
+// levels merge by depth. The merged root_rho_w is the hotter of measured
+// and model — saturation anywhere is saturation. The governor line is
+// the caller's (Server.Governor merges the governors).
+func mergeSnapshots(shs []shardSnapshot) shardSnapshot {
+	var m shardSnapshot
+	var hist metrics.HistSnapshot
+	var ops int64
+	var opNs float64
+	m.Engine = shs[0].Engine
+	for _, sn := range shs {
+		m.Keys += sn.Keys
+		m.Height = max(m.Height, sn.Height)
+		m.Splits += sn.Splits
+		m.Restarts += sn.Restarts
+		m.Crossings += sn.Crossings
+		m.ReadRestarts += sn.ReadRestarts
+		m.ReadFallbacks += sn.ReadFallbacks
+
+		m.WindowS = max(m.WindowS, sn.WindowS)
+		m.OpsPerSec += sn.OpsPerSec
+		m.Gets += sn.Gets
+		m.Puts += sn.Puts
+		m.Dels += sn.Dels
+		m.BadReqs += sn.BadReqs
+		hist = hist.Add(sn.win.OpHist)
+		ops += sn.win.Ops
+		opNs += sn.win.ObsMeanNs * float64(sn.win.Ops)
+
+		m.Scans += sn.Scans
+		m.ScanKeys += sn.ScanKeys
+		m.Seeks += sn.Seeks
+		m.Lookups += sn.Lookups
+		m.LookupKeys += sn.LookupKeys
+		m.Indexed = m.Indexed || sn.Indexed
+		m.IndexKeys += sn.IndexKeys
+
+		m.Poisoned = m.Poisoned || sn.Poisoned
+		m.Recovered += sn.Recovered
+		m.OplogAppended += sn.OplogAppended
+		m.OplogSynced += sn.OplogSynced
+		m.OplogBytes += sn.OplogBytes
+		m.Fsyncs += sn.Fsyncs
+		m.Checkpoints += sn.Checkpoints
+		m.CheckpointLag += sn.CheckpointLag
+		m.CkptFails += sn.CkptFails
+		m.CommitFails += sn.CommitFails
+		m.Unavail += sn.Unavail
+
+		m.CkptPauseLastUs = max(m.CkptPauseLastUs, sn.CkptPauseLastUs)
+		m.CkptPauseMaxUs = max(m.CkptPauseMaxUs, sn.CkptPauseMaxUs)
+		m.CkptChunksDone += sn.CkptChunksDone
+		m.CkptChunksTotal += sn.CkptChunksTotal
+
+		m.SeqAppended += sn.SeqAppended
+		m.SeqDurable += sn.SeqDurable
+		m.SeqLowest += sn.SeqLowest
+		m.RetainedSegs += sn.RetainedSegs
+		m.RetainedBytes += sn.RetainedBytes
+		m.Seq += sn.Seq
+
+		m.RootRhoW = max(m.RootRhoW, sn.RootRhoW, sn.ModelRhoW)
+		m.ModelRhoW = max(m.ModelRhoW, sn.ModelRhoW)
+		m.Saturated = m.Saturated || sn.Saturated
+	}
+	meanNs := 0.0
+	if ops > 0 {
+		meanNs = opNs / float64(ops)
+	}
+	m.latencyLine = latencyOf(meanNs, hist)
+	m.Levels = mergeLevels(shs)
+	return m
+}
+
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	shs := s.snapshots()
+	eng0 := s.shards[0].eng
+	gov := s.Governor()
+	out := metricsReport{
+		serverLine: serverLine{
+			UptimeS:       time.Since(s.start).Seconds(),
+			Algorithm:     eng0.Algorithm(),
+			Capacity:      eng0.Cap(),
+			Shards:        len(s.shards),
+			Workers:       s.cfg.Workers,
+			Conns:         s.connsNow.Load(),
+			ConnRejects:   gov.ConnRejects,
+			ReadTimeouts:  s.readTimeouts.Load(),
+			WriteTimeouts: s.writeTimeouts.Load(),
+		},
+		shardSnapshot: mergeSnapshots(shs),
+		Replication:   s.replicationStats(),
+	}
+	out.BadReqs += s.badReqs.Load()
+	out.governorLine = govLine(gov)
+	if len(shs) > 1 {
+		for i, sn := range shs {
+			out.ShardBlocks = append(out.ShardBlocks, shardBlock{Shard: i, shardSnapshot: sn})
+		}
+	}
+
+	if r.URL.Query().Get("format") == "json" {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(out)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	writeText(w, "", reflect.ValueOf(out))
+	for _, b := range out.ShardBlocks {
+		writeText(w, fmt.Sprintf("shard=%d", b.Shard), reflect.ValueOf(b.shardSnapshot))
+	}
+	if out.Saturated {
+		fmt.Fprintf(w, "WARNING: root writer utilization rho_w >= %.2f — the tree is past the paper's effective maximum arrival rate (§6, rules of thumb 1–4)\n", SaturationRho)
+	}
+}
+
+// writeText renders a telemetry struct as lines of key=value pairs keyed
+// by JSON name. The struct's scalar fields form one line led by name;
+// then, in field order, each embedded struct tagged text:"x" and each
+// non-nil struct pointer tagged text:"x" is written led by "name x", an
+// untagged embedded struct continues under name, and a struct slice
+// writes each element under "name x" (or name when untagged). Fields
+// tagged text:"-" and empty omitempty fields are skipped.
+func writeText(w io.Writer, name string, v reflect.Value) {
+	line := []string{name}
+	var nested []func()
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f, fv := t.Field(i), v.Field(i)
+		tag := f.Tag.Get("text")
+		if tag == "-" || (!f.Anonymous && !f.IsExported()) {
+			continue
+		}
+		child := strings.TrimSpace(name + " " + tag)
+		key, opts, _ := strings.Cut(f.Tag.Get("json"), ",")
+		switch {
+		case f.Anonymous:
+			nested = append(nested, func() { writeText(w, child, fv) })
+		case fv.Kind() == reflect.Pointer:
+			if !fv.IsNil() {
+				nested = append(nested, func() { writeText(w, child, fv.Elem()) })
+			}
+		case fv.Kind() == reflect.Slice && fv.Type().Elem().Kind() == reflect.Struct:
+			nested = append(nested, func() {
+				for j := 0; j < fv.Len(); j++ {
+					writeText(w, child, fv.Index(j))
+				}
+			})
+		case opts == "omitempty" && (fv.IsZero() || (fv.Kind() == reflect.Slice && fv.Len() == 0)):
+		default:
+			line = append(line, key+"="+textValue(fv))
+		}
+	}
+	if len(line) > 1 {
+		fmt.Fprintln(w, strings.TrimSpace(strings.Join(line, " ")))
+	}
+	for _, fn := range nested {
+		fn()
+	}
+}
+
+func textValue(v reflect.Value) string {
+	switch v.Kind() {
+	case reflect.Float64:
+		return strconv.FormatFloat(v.Float(), 'f', 4, 64)
+	case reflect.Slice:
+		parts := make([]string, v.Len())
+		for i := range parts {
+			parts[i] = textValue(v.Index(i))
+		}
+		return strings.Join(parts, ",")
+	default:
+		return fmt.Sprint(v.Interface())
+	}
 }
 
 // replicationJSON is the /metrics replication block: role-common
-// refusal counters plus the active role's stream telemetry.
+// refusal counters plus the active role's stream telemetry
+// (Server.replicationStats).
 type replicationJSON struct {
 	Role        string `json:"role"` // leader | follower
 	Epoch       uint64 `json:"epoch"`
@@ -389,7 +573,7 @@ type replicationJSON struct {
 	AcksRecv     int64                 `json:"acks_received,omitempty"`
 	Snapshots    int64                 `json:"snapshots,omitempty"`
 	Evictions    int64                 `json:"evictions,omitempty"`
-	Followers    []replicationFollower `json:"followers,omitempty"`
+	Followers    []replicationFollower `json:"followers,omitempty" text:"follower"`
 
 	// Follower side.
 	Applied    []int64 `json:"applied,omitempty"` // per shard
@@ -410,50 +594,7 @@ type replicationFollower struct {
 	LagBytes  int64   `json:"lag_bytes"`
 }
 
-// replJSON converts the active role's stats for /metrics.
-func replJSON(rs *ReplicationStats) *replicationJSON {
-	if rs == nil {
-		return nil
-	}
-	out := &replicationJSON{
-		Role:        rs.Role,
-		Acks:        rs.Acks,
-		AckTimeouts: rs.AckTimeouts,
-		NotLeader:   rs.NotLeader,
-		Lagging:     rs.Lagging,
-	}
-	if rs.Hub != nil {
-		out.Epoch = rs.Hub.Epoch
-		out.OpsShipped = rs.Hub.OpsShipped
-		out.BytesShipped = rs.Hub.BytesShipped
-		out.AcksRecv = rs.Hub.Acks
-		out.Snapshots = rs.Hub.Snapshots
-		out.Evictions = rs.Hub.Evictions
-		for _, f := range rs.Hub.Followers {
-			out.Followers = append(out.Followers, replicationFollower{
-				ID:        f.ID,
-				Addr:      f.Addr,
-				Connected: f.Connected,
-				Acked:     f.Acked,
-				LagSeqs:   f.LagSeqs,
-				LagBytes:  f.LagBytes,
-			})
-		}
-	}
-	if rs.Follower != nil {
-		out.Epoch = rs.Follower.Epoch
-		out.Applied = rs.Follower.Applied
-		out.Heads = rs.Follower.Heads
-		out.LagSeqs = rs.Follower.LagSeqs
-		out.OpsApplied = rs.Follower.OpsApplied
-		out.Snapshots = rs.Follower.Snapshots
-		out.Reconnects = rs.Follower.Reconnects
-		out.Connected = rs.Follower.Connected
-	}
-	return out
-}
-
-type levelMetricsJSON struct {
+type levelLine struct {
 	Level     int     `json:"level"`
 	Root      bool    `json:"root"`
 	LambdaR   float64 `json:"lambda_r"`
@@ -478,11 +619,11 @@ type levelMetricsJSON struct {
 
 func us(sec float64) float64 { return sec * 1e6 }
 
-// levelJSON converts one shard's model points, marking the shard's root.
-func levelJSON(points []metrics.ModelPoint, height int) []levelMetricsJSON {
-	var out []levelMetricsJSON
+// levelLines converts one shard's model points, marking the shard's root.
+func levelLines(points []metrics.ModelPoint, height int) []levelLine {
+	var out []levelLine
 	for _, p := range points {
-		lj := levelMetricsJSON{
+		lj := levelLine{
 			Level:    p.Level,
 			Root:     p.Level == height,
 			LambdaR:  p.LambdaR,
@@ -516,23 +657,23 @@ func levelJSON(points []metrics.ModelPoint, height int) []levelMetricsJSON {
 // and model ρ_w take the max over shards — the merged gauge answers "is
 // any root at this depth saturated", which is what sharding makes the
 // operative question. Stable is the conjunction over evaluated shards.
-func mergeLevels(scrapes []shardScrape) []levelMetricsJSON {
+func mergeLevels(shs []shardSnapshot) []levelLine {
 	maxH := 0
-	for _, sc := range scrapes {
-		for _, p := range sc.points {
+	for _, sn := range shs {
+		for _, p := range sn.points {
 			if p.Level > maxH {
 				maxH = p.Level
 			}
 		}
 	}
-	var out []levelMetricsJSON
+	var out []levelLine
 	for lvl := 1; lvl <= maxH; lvl++ {
-		m := levelMetricsJSON{Level: lvl, Stable: true}
+		m := levelLine{Level: lvl, Stable: true}
 		var wsum, muR, muW, holdR, holdW, waitR, waitW float64
 		var hist metrics.HistSnapshot
 		found, anyEval := false, false
-		for _, sc := range scrapes {
-			for _, p := range sc.points {
+		for _, sn := range shs {
+			for _, p := range sn.points {
 				if p.Level != lvl {
 					continue
 				}
@@ -558,7 +699,7 @@ func mergeLevels(scrapes []shardScrape) []levelMetricsJSON {
 				if p.RhoW > m.RhoW {
 					m.RhoW = p.RhoW
 				}
-				m.Root = m.Root || p.Level == sc.height
+				m.Root = m.Root || p.Level == sn.win.Height
 				if p.Evaluated {
 					anyEval = true
 					if p.Sol.RhoW > m.ModelRhoW {
@@ -588,302 +729,6 @@ func mergeLevels(scrapes []shardScrape) []levelMetricsJSON {
 	return out
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	scrapes := s.scrape(func(sh *shard) *windowState { return &sh.metricsWin })
-	single := len(scrapes) == 1
-
-	// Merged view: counts and rates sum across shards; height, window,
-	// and root ρ_w take the max; the op histogram is the bucket-wise sum.
-	var (
-		keys, height                        int
-		dt, opRate, opNsSum                 float64
-		ops, gets, puts, dels, opBad        int64
-		scans, scanKeys, seeks              int64
-		lookups, lookupKeys, indexKeys      int64
-		splits, restarts, crossings         int64
-		readRestarts, readFallbacks         int64
-		recovered, appended, synced, oplogB int64
-		fsyncs, checkpoints, ckptLag        int64
-		ckptFails                           int64
-		commitFails, unavail                int64
-		seqAppended, seqDurable, seqLowest  int64
-		retainedSegs, retainedBytes         int64
-		pauseLastNs, pauseMaxNs             int64
-		chunksDone, chunksTotal             int64
-		rhoMeas, rhoModel                   float64
-		saturated, poisoned                 bool
-		hist                                metrics.HistSnapshot
-	)
-	for _, sc := range scrapes {
-		keys += sc.sh.eng.Len()
-		if sc.height > height {
-			height = sc.height
-		}
-		if sc.win.Dt > dt {
-			dt = sc.win.Dt
-		}
-		opRate += sc.win.OpRate
-		ops += sc.win.Ops
-		opNsSum += sc.win.ObsMeanNs * float64(sc.win.Ops)
-		hist = hist.Add(sc.win.OpHist)
-		gets += sc.sh.gets.Load()
-		puts += sc.sh.puts.Load()
-		dels += sc.sh.dels.Load()
-		opBad += sc.sh.opBad.Load()
-		scans += sc.sh.scans.Load()
-		scanKeys += sc.sh.scanKeys.Load()
-		seeks += sc.sh.seeks.Load()
-		lookups += sc.sh.lookups.Load()
-		lookupKeys += sc.sh.lookupKeys.Load()
-		if sc.sh.idx != nil {
-			indexKeys += int64(sc.sh.idx.Len())
-		}
-		splits += sc.es.Splits
-		restarts += sc.es.Restarts
-		crossings += sc.es.Crossings
-		readRestarts += sc.es.ReadRestarts
-		readFallbacks += sc.es.ReadFallbacks
-		recovered += sc.es.Recovered
-		appended += sc.es.Appended
-		synced += sc.es.Synced
-		oplogB += sc.es.OplogBytes
-		fsyncs += sc.es.Fsyncs
-		checkpoints += sc.es.Checkpoints
-		ckptLag += sc.es.CheckpointLag
-		ckptFails += sc.es.CheckpointFails
-		chunksDone += sc.es.CkptChunksDone
-		chunksTotal += sc.es.CkptChunksTotal
-		commitFails += sc.sh.commitFails.Load()
-		unavail += sc.sh.unavail.Load()
-		seqAppended += sc.es.SeqAppended
-		seqDurable += sc.es.SeqDurable
-		seqLowest += sc.es.SeqLowest
-		retainedSegs += sc.es.RetainedSegs
-		retainedBytes += sc.es.RetainedBytes
-		if sc.es.CkptPauseLastNs > pauseLastNs {
-			pauseLastNs = sc.es.CkptPauseLastNs
-		}
-		if sc.es.CkptPauseMaxNs > pauseMaxNs {
-			pauseMaxNs = sc.es.CkptPauseMaxNs
-		}
-		if sc.rhoMeas > rhoMeas {
-			rhoMeas = sc.rhoMeas
-		}
-		if sc.rhoModel > rhoModel {
-			rhoModel = sc.rhoModel
-		}
-		saturated = saturated || sc.saturated
-		poisoned = poisoned || sc.poisoned
-	}
-	meanNs := 0.0
-	if ops > 0 {
-		meanNs = opNsSum / float64(ops)
-	}
-
-	eng0 := s.shards[0].eng
-	out := metricsJSON{
-		UptimeS:    time.Since(s.start).Seconds(),
-		Algorithm:  eng0.Algorithm(),
-		Capacity:   eng0.Cap(),
-		Shards:     len(s.shards),
-		Keys:       keys,
-		Height:     height,
-		Workers:    s.cfg.Workers,
-		Conns:      s.connsNow.Load(),
-		WindowS:    dt,
-		OpsPerSec:  opRate,
-		Gets:       gets,
-		Puts:       puts,
-		Dels:       dels,
-		BadReqs:    s.badReqs.Load() + opBad,
-		Scans:      scans,
-		ScanKeys:   scanKeys,
-		Seeks:      seeks,
-		Lookups:    lookups,
-		LookupKeys: lookupKeys,
-		Indexed:    s.shards[0].idx != nil,
-		IndexKeys:  indexKeys,
-		OpMeanUs:   meanNs / 1e3,
-		OpP50Us:    float64(hist.Quantile(0.5)) / 1e3,
-		OpP99Us:    float64(hist.Quantile(0.99)) / 1e3,
-		Splits:     splits,
-		Restarts:   restarts,
-		Crossings:  crossings,
-		RootRhoW:   math.Max(rhoMeas, rhoModel),
-		Saturated:  saturated,
-
-		ReadRestarts:  readRestarts,
-		ReadFallbacks: readFallbacks,
-
-		Engine:        eng0.Kind(),
-		Poisoned:      poisoned,
-		Recovered:     recovered,
-		OplogAppended: appended,
-		OplogSynced:   synced,
-		OplogBytes:    oplogB,
-		Fsyncs:        fsyncs,
-		Checkpoints:   checkpoints,
-		CheckpointLag: ckptLag,
-		CkptFails:     ckptFails,
-		CommitFails:   commitFails,
-		Unavail:       unavail,
-
-		SeqAppended:     seqAppended,
-		SeqDurable:      seqDurable,
-		SeqLowest:       seqLowest,
-		RetainedSegs:    retainedSegs,
-		RetainedBytes:   retainedBytes,
-		CkptPauseLastUs: float64(pauseLastNs) / 1e3,
-		CkptPauseMaxUs:  float64(pauseMaxNs) / 1e3,
-		CkptChunksDone:  chunksDone,
-		CkptChunksTotal: chunksTotal,
-
-		Replication: replJSON(s.replicationStats()),
-	}
-	gov := s.Governor()
-	out.Governor = gov.State.String()
-	if gov.Disabled {
-		out.Governor = "disabled"
-	}
-	out.GovernorRhoW = gov.RootRhoW
-	out.GovernorRho = gov.Rho
-	out.GovernorExit = gov.ExitRho
-	out.GovernorFlips = gov.Transitions
-	out.ShedOverload = gov.ShedOverload
-	out.ShedBusy = gov.ShedBusy
-	out.ConnRejects = gov.ConnRejects
-	out.ReadTimeouts = s.readTimeouts.Load()
-	out.WriteTimeouts = s.writeTimeouts.Load()
-	if single {
-		out.Levels = levelJSON(scrapes[0].points, scrapes[0].height)
-	} else {
-		out.Levels = mergeLevels(scrapes)
-		for i, sc := range scrapes {
-			gs := sc.sh.gov.Status()
-			govName := gs.State.String()
-			if gs.Disabled {
-				govName = "disabled"
-			}
-			out.ShardBlocks = append(out.ShardBlocks, shardMetricsJSON{
-				Shard:         i,
-				Keys:          sc.sh.eng.Len(),
-				Height:        sc.height,
-				WindowS:       sc.win.Dt,
-				OpsPerSec:     sc.win.OpRate,
-				Gets:          sc.sh.gets.Load(),
-				Puts:          sc.sh.puts.Load(),
-				Dels:          sc.sh.dels.Load(),
-				Scans:         sc.sh.scans.Load(),
-				ScanKeys:      sc.sh.scanKeys.Load(),
-				Seeks:         sc.sh.seeks.Load(),
-				Lookups:       sc.sh.lookups.Load(),
-				LookupKeys:    sc.sh.lookupKeys.Load(),
-				OpMeanUs:      sc.win.ObsMeanNs / 1e3,
-				OpP50Us:       float64(sc.win.OpHist.Quantile(0.5)) / 1e3,
-				OpP99Us:       float64(sc.win.OpHist.Quantile(0.99)) / 1e3,
-				Splits:        sc.es.Splits,
-				Restarts:      sc.es.Restarts,
-				Crossings:     sc.es.Crossings,
-				ReadRestarts:  sc.es.ReadRestarts,
-				ReadFallbacks: sc.es.ReadFallbacks,
-				RootRhoW:      sc.rhoMeas,
-				ModelRhoW:     sc.rhoModel,
-				Saturated:     sc.saturated,
-				Poisoned:      sc.poisoned,
-				CommitFails:   sc.sh.commitFails.Load(),
-				Unavail:       sc.sh.unavail.Load(),
-				Governor:      govName,
-				GovernorRhoW:  gs.RootRhoW,
-				ShedOverload:  gs.ShedOverload,
-				ShedBusy:      gs.ShedBusy,
-				Seq:           s.shardSeq(i),
-				Levels:        levelJSON(sc.points, sc.height),
-			})
-		}
-	}
-
-	if r.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(out)
-		return
-	}
-
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if single {
-		fmt.Fprintf(w, "btserved uptime_s=%.1f algorithm=%s cap=%d keys=%d height=%d workers=%d conns=%d\n",
-			out.UptimeS, out.Algorithm, out.Capacity, out.Keys, out.Height, out.Workers, out.Conns)
-	} else {
-		fmt.Fprintf(w, "btserved uptime_s=%.1f algorithm=%s cap=%d keys=%d height=%d workers=%d conns=%d shards=%d\n",
-			out.UptimeS, out.Algorithm, out.Capacity, out.Keys, out.Height, out.Workers, out.Conns, out.Shards)
-	}
-	fmt.Fprintf(w, "ops window_s=%.2f rate=%.0f gets=%d puts=%d dels=%d bad=%d\n",
-		out.WindowS, out.OpsPerSec, out.Gets, out.Puts, out.Dels, out.BadReqs)
-	fmt.Fprintf(w, "query scan_pages=%d scan_keys=%d seeks=%d lookup_pages=%d lookup_keys=%d indexed=%v index_keys=%d\n",
-		out.Scans, out.ScanKeys, out.Seeks, out.Lookups, out.LookupKeys, out.Indexed, out.IndexKeys)
-	fmt.Fprintf(w, "op_latency_us mean=%.1f p50=%.1f p99=%.1f\n", out.OpMeanUs, out.OpP50Us, out.OpP99Us)
-	fmt.Fprintf(w, "tree splits=%d restarts=%d crossings=%d read_restarts=%d read_fallbacks=%d\n",
-		out.Splits, out.Restarts, out.Crossings, out.ReadRestarts, out.ReadFallbacks)
-	fmt.Fprintf(w, "engine kind=%s poisoned=%v recovered=%d oplog_appended=%d oplog_synced=%d oplog_bytes=%d fsyncs=%d checkpoints=%d checkpoint_lag=%d ckpt_fails=%d commit_fails=%d unavail=%d\n",
-		out.Engine, out.Poisoned, out.Recovered, out.OplogAppended, out.OplogSynced,
-		out.OplogBytes, out.Fsyncs, out.Checkpoints, out.CheckpointLag, out.CkptFails,
-		out.CommitFails, out.Unavail)
-	fmt.Fprintf(w, "checkpoint pause_last_us=%.1f pause_max_us=%.1f chunks_done=%d chunks_total=%d behind=%d\n",
-		out.CkptPauseLastUs, out.CkptPauseMaxUs, out.CkptChunksDone, out.CkptChunksTotal, out.CheckpointLag)
-	fmt.Fprintf(w, "seqs appended=%d durable=%d lowest=%d retained_segments=%d retained_bytes=%d\n",
-		out.SeqAppended, out.SeqDurable, out.SeqLowest, out.RetainedSegs, out.RetainedBytes)
-	if rp := out.Replication; rp != nil {
-		if rp.Role == "leader" {
-			fmt.Fprintf(w, "replication role=leader epoch=%d acks=%d ack_timeouts=%d ops_shipped=%d bytes_shipped=%d acks_received=%d snapshots=%d evictions=%d followers=%d\n",
-				rp.Epoch, rp.Acks, rp.AckTimeouts, rp.OpsShipped, rp.BytesShipped,
-				rp.AcksRecv, rp.Snapshots, rp.Evictions, len(rp.Followers))
-			for _, f := range rp.Followers {
-				fmt.Fprintf(w, "follower id=%d addr=%s connected=%v acked=%v lag_seqs=%d lag_bytes=%d\n",
-					f.ID, f.Addr, f.Connected, f.Acked, f.LagSeqs, f.LagBytes)
-			}
-		} else {
-			fmt.Fprintf(w, "replication role=follower epoch=%d connected=%v applied=%v heads=%v lag_seqs=%d ops_applied=%d snapshots=%d reconnects=%d not_leader=%d lagging=%d\n",
-				rp.Epoch, rp.Connected, rp.Applied, rp.Heads, rp.LagSeqs,
-				rp.OpsApplied, rp.Snapshots, rp.Reconnects, rp.NotLeader, rp.Lagging)
-		}
-	}
-	if !single {
-		// Per-shard ρ_w gauges: one line per shard with its own root
-		// utilization, model prediction, governor, and shed counters.
-		for _, b := range out.ShardBlocks {
-			fmt.Fprintf(w, "shard=%d keys=%d height=%d rate=%.0f root_rho_w=%.4f model_rho_w=%.4f saturated=%v governor=%s poisoned=%v shed_overload=%d shed_busy=%d commit_fails=%d unavail=%d seq=%d\n",
-				b.Shard, b.Keys, b.Height, b.OpsPerSec, b.RootRhoW, b.ModelRhoW,
-				b.Saturated, b.Governor, b.Poisoned, b.ShedOverload, b.ShedBusy,
-				b.CommitFails, b.Unavail, b.Seq)
-		}
-	}
-	for _, l := range out.Levels {
-		role := "inner"
-		if l.Root {
-			role = "root"
-		} else if l.Level == 1 {
-			role = "leaf"
-		}
-		fmt.Fprintf(w, "level=%d role=%s lambda_r=%.0f lambda_w=%.0f mu_r=%.0f mu_w=%.0f hold_r_us=%.2f hold_w_us=%.2f wait_r_us=%.2f wait_w_us=%.2f wait_w_p99_us=%.1f rho_w=%.4f model_rho_w=%.4f stable=%v",
-			l.Level, role, l.LambdaR, l.LambdaW, l.MuR, l.MuW,
-			l.HoldRUs, l.HoldWUs, l.WaitRUs, l.WaitWUs, l.WaitWP99,
-			l.RhoW, l.ModelRhoW, l.Stable)
-		if out.ReadRestarts > 0 || out.ReadFallbacks > 0 {
-			fmt.Fprintf(w, " read_restarts=%d read_fallbacks=%d restart_rate=%.1f fallback_rate=%.1f",
-				l.ReadRestarts, l.ReadFallbacks, l.RestartRate, l.FallbackRate)
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "governor state=%s rho_w=%.4f threshold=%.2f exit=%.2f transitions=%d shed_overload=%d shed_busy=%d conn_rejects=%d read_timeouts=%d write_timeouts=%d\n",
-		out.Governor, out.GovernorRhoW, out.GovernorRho, out.GovernorExit,
-		out.GovernorFlips, out.ShedOverload, out.ShedBusy, out.ConnRejects,
-		out.ReadTimeouts, out.WriteTimeouts)
-	fmt.Fprintf(w, "saturation root_rho_w=%.4f threshold=%.2f saturated=%v\n",
-		out.RootRhoW, SaturationRho, out.Saturated)
-	if out.Saturated {
-		fmt.Fprintf(w, "WARNING: root writer utilization rho_w >= %.2f — the tree is past the paper's effective maximum arrival rate (§6, rules of thumb 1–4)\n", SaturationRho)
-	}
-}
-
 // handlePromote flips a follower into a leader (POST only). It answers
 // 409 on a server that is not currently following — promotion of a
 // leader or an unreplicated server is always an operator error — and
@@ -908,11 +753,11 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 }
 
 // modelSection renders one shard's predicted-vs-measured table.
-func modelSection(w http.ResponseWriter, sc shardScrape) {
+func modelSection(w http.ResponseWriter, sn shardSnapshot) {
 	tb := table.New("per-level FCFS R/W queues (leaf=1 .. root)",
 		"level", "λ_r/s", "λ_w/s", "μ_r/s", "μ_w/s",
 		"ρ_w meas", "ρ_w model", "T_a µs", "W_w meas µs", "W_w pred µs", "stable")
-	for _, p := range sc.points {
+	for _, p := range sn.points {
 		row := []string{
 			fmt.Sprintf("%d", p.Level),
 			table.F(p.LambdaR), table.F(p.LambdaW),
@@ -933,27 +778,28 @@ func modelSection(w http.ResponseWriter, sc shardScrape) {
 	}
 	tb.Render(w)
 
-	predNs := metrics.PredictedResponse(sc.points, sc.win.OpRate) * 1e9
+	predNs := metrics.PredictedResponse(sn.points, sn.win.OpRate) * 1e9
 	fmt.Fprintf(w, "\nresponse time: observed mean %.1f µs, model predicted %.1f µs",
-		sc.win.ObsMeanNs/1e3, predNs/1e3)
-	if sc.win.ObsMeanNs > 0 && predNs > 0 {
-		ratio := predNs / sc.win.ObsMeanNs
+		sn.win.ObsMeanNs/1e3, predNs/1e3)
+	if sn.win.ObsMeanNs > 0 && predNs > 0 {
+		ratio := predNs / sn.win.ObsMeanNs
 		fmt.Fprintf(w, " (pred/obs = %.2f)", ratio)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "root rho_w: measured %.4f, model %.4f, threshold %.2f\n", sc.rhoMeas, sc.rhoModel, SaturationRho)
+	fmt.Fprintf(w, "root rho_w: measured %.4f, model %.4f, threshold %.2f\n", sn.RootRhoW, sn.ModelRhoW, SaturationRho)
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	scrapes := s.scrape(func(sh *shard) *windowState { return &sh.modelWin })
+	shs := s.snapshots()
+	alg := s.shards[0].eng.Algorithm()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 
-	if len(scrapes) == 1 {
-		sc := scrapes[0]
+	if len(shs) == 1 {
+		sn := shs[0]
 		fmt.Fprintf(w, "qmodel evaluated at measured parameters (window %.2fs, %d ops, %.0f ops/s, algorithm %s)\n\n",
-			sc.win.Dt, sc.win.Ops, sc.win.OpRate, sc.sh.eng.Algorithm())
-		modelSection(w, sc)
-		if sc.saturated {
+			sn.win.Dt, sn.win.Ops, sn.win.OpRate, alg)
+		modelSection(w, sn)
+		if sn.Saturated {
 			fmt.Fprintf(w, "WARNING: SATURATED — root writer utilization ρ_w >= %.2f, the paper's effective maximum arrival rate λ_{ρ=.5} (§6, rules of thumb 1–4). Raise node capacity (Optimistic/Link-type) or shard.\n", SaturationRho)
 		} else {
 			fmt.Fprintf(w, "root below the λ_{ρ=.5} saturation threshold\n")
@@ -968,27 +814,27 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	var totOps int64
 	var totRate float64
 	saturatedShards := 0
-	for _, sc := range scrapes {
-		totOps += sc.win.Ops
-		totRate += sc.win.OpRate
-		if sc.saturated {
+	for _, sn := range shs {
+		totOps += sn.win.Ops
+		totRate += sn.win.OpRate
+		if sn.Saturated {
 			saturatedShards++
 		}
 	}
 	fmt.Fprintf(w, "qmodel evaluated per shard at measured parameters (%d shards, %d ops, %.0f ops/s aggregate, algorithm %s)\n",
-		len(scrapes), totOps, totRate, scrapes[0].sh.eng.Algorithm())
-	for i, sc := range scrapes {
+		len(shs), totOps, totRate, alg)
+	for i, sn := range shs {
 		fmt.Fprintf(w, "\n--- shard %d (window %.2fs, %d ops, %.0f ops/s) ---\n\n",
-			i, sc.win.Dt, sc.win.Ops, sc.win.OpRate)
-		modelSection(w, sc)
-		if sc.saturated {
+			i, sn.win.Dt, sn.win.Ops, sn.win.OpRate)
+		modelSection(w, sn)
+		if sn.Saturated {
 			fmt.Fprintf(w, "shard %d SATURATED: root ρ_w >= %.2f\n", i, SaturationRho)
 		} else {
 			fmt.Fprintf(w, "shard %d below the λ_{ρ=.5} saturation threshold\n", i)
 		}
 	}
-	fmt.Fprintf(w, "\naggregate: %d/%d shards saturated\n", saturatedShards, len(scrapes))
-	if saturatedShards == len(scrapes) {
+	fmt.Fprintf(w, "\naggregate: %d/%d shards saturated\n", saturatedShards, len(shs))
+	if saturatedShards == len(shs) {
 		fmt.Fprintf(w, "WARNING: SATURATED — every shard's root is past λ_{ρ=.5} (§6, rules of thumb 1–4). Raise node capacity (Optimistic/Link-type) or add shards.\n")
 	} else if saturatedShards > 0 {
 		fmt.Fprintf(w, "WARNING: partial saturation — the hottest shard's root is past λ_{ρ=.5}; the hash router cannot steer keys away from it\n")

@@ -285,38 +285,49 @@ func (s *Server) shardSeq(i int) int64 {
 	return 0
 }
 
-// ReplicationStats is the /metrics replication block.
-type ReplicationStats struct {
-	Role        string // "leader" or "follower"
-	Acks        int    // configured semi-sync follower-ack requirement
-	AckTimeouts int64  // commits that missed the ack barrier (answered Busy)
-	NotLeader   int64  // mutations refused on a follower
-	Lagging     int64  // getseqs refused past the staleness bound
-	Hub         *repl.HubStats
-	Follower    *repl.ApplierStats
-}
-
-// replicationStats snapshots the active role's replication telemetry;
-// nil when the server is unreplicated.
-func (s *Server) replicationStats() *ReplicationStats {
+// replicationStats snapshots the active role's replication telemetry
+// for /metrics and /healthz; nil when the server is unreplicated.
+func (s *Server) replicationStats() *replicationJSON {
 	hub, fol := s.Hub(), s.Follower()
 	if hub == nil && fol == nil {
 		return nil
 	}
-	st := &ReplicationStats{Acks: s.cfg.ReplAcks}
+	st := &replicationJSON{Acks: s.cfg.ReplAcks}
 	for _, sh := range s.shards {
 		st.AckTimeouts += sh.ackTimeouts.Load()
 		st.NotLeader += sh.notLeader.Load()
 		st.Lagging += sh.lagging.Load()
 	}
 	if hub != nil {
-		st.Role = "leader"
 		hs := hub.Stats()
-		st.Hub = &hs
+		st.Role = "leader"
+		st.Epoch = hs.Epoch
+		st.OpsShipped = hs.OpsShipped
+		st.BytesShipped = hs.BytesShipped
+		st.AcksRecv = hs.Acks
+		st.Snapshots = hs.Snapshots
+		st.Evictions = hs.Evictions
+		for _, f := range hs.Followers {
+			st.Followers = append(st.Followers, replicationFollower{
+				ID:        f.ID,
+				Addr:      f.Addr,
+				Connected: f.Connected,
+				Acked:     f.Acked,
+				LagSeqs:   f.LagSeqs,
+				LagBytes:  f.LagBytes,
+			})
+		}
 	} else {
-		st.Role = "follower"
 		fs := fol.Stats()
-		st.Follower = &fs
+		st.Role = "follower"
+		st.Epoch = fs.Epoch
+		st.Applied = fs.Applied
+		st.Heads = fs.Heads
+		st.LagSeqs = fs.LagSeqs
+		st.OpsApplied = fs.OpsApplied
+		st.Snapshots = fs.Snapshots
+		st.Reconnects = fs.Reconnects
+		st.Connected = fs.Connected
 	}
 	return st
 }

@@ -245,9 +245,6 @@ func (s *Server) Engine() Engine { return s.shards[0].eng }
 // shard runs on another engine.
 func (s *Server) Tree() *cbtree.Tree { return s.shards[0].tree }
 
-// Probe exposes shard 0's telemetry probe.
-func (s *Server) Probe() *metrics.TreeProbe { return s.shards[0].probe }
-
 // Len returns the total key count across all shards.
 func (s *Server) Len() int {
 	n := 0

@@ -245,8 +245,9 @@ func TestMetricsEndpoints(t *testing.T) {
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
+	nextSample(t, s)
 	body := httpGet(t, hs.URL+"/metrics")
-	for _, want := range []string{"level=1", "role=root", "rho_w=", "lambda_w=", "saturation"} {
+	for _, want := range []string{"level=1", "root=true", "rho_w=", "lambda_w=", "saturation"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}

@@ -11,8 +11,8 @@ import (
 )
 
 // shard is one independent serving partition: its own storage engine,
-// tree telemetry probe, worker queue, overload governor, operation
-// counters, and scrape windows. The paper's queueing model caps a single
+// tree telemetry probe, worker queue, overload governor (also the
+// shard's telemetry sampler), and operation counters. The paper's queueing model caps a single
 // tree's throughput at root ρ_w = .5; partitioning the keyspace across N
 // shards gives N independent root locks, so the model's per-tree
 // saturation analysis applies shard by shard and aggregate throughput
@@ -59,9 +59,6 @@ type shard struct {
 	// whose root is saturated, not globally).
 	shedOverload atomic.Int64 // updates shed with StatusOverload (governor)
 	shedBusy     atomic.Int64 // requests shed with StatusBusy (queue full)
-
-	metricsWin windowState // /metrics scrape window
-	modelWin   windowState // /debug/model scrape window
 }
 
 // shardIndex routes a key to a shard with a full-avalanche mixer

@@ -332,11 +332,11 @@ func checkNoNaN(t *testing.T, path string, v any) {
 }
 
 // TestIdleServerTelemetryFinite is the zero-traffic regression scrape:
-// every telemetry endpoint of a server that has served nothing — and is
-// scraped twice back to back, so the second window is near zero-width
-// with zero ops — must produce finite, parseable output. This pins the
-// divide-by-zero guards in windowState.advance, metrics.Rates, and the
-// model evaluation (λ=0 windows are not evaluated).
+// every telemetry endpoint of a server that has served nothing — scraped
+// once before the first sample (an empty window) and once after an idle
+// sample with zero ops — must produce finite, parseable output. This
+// pins the divide-by-zero guards in governor.sample, metrics.Rates, and
+// the model evaluation (λ=0 windows are not evaluated).
 func TestIdleServerTelemetryFinite(t *testing.T) {
 	for _, tc := range []struct {
 		shards int
@@ -373,6 +373,9 @@ func TestIdleServerTelemetryFinite(t *testing.T) {
 			defer hs.Close()
 
 			for round := 0; round < 2; round++ {
+				if round == 1 {
+					nextSample(t, s)
+				}
 				for _, ep := range []string{"/metrics", "/debug/model", "/healthz"} {
 					body := httpGet(t, hs.URL+ep)
 					for _, bad := range []string{"NaN", "nan", "+Inf", "-Inf"} {
@@ -398,8 +401,8 @@ func TestIdleServerTelemetryFinite(t *testing.T) {
 				}
 				if tc.disk {
 					body := httpGet(t, hs.URL+"/metrics")
-					if !strings.Contains(body, "checkpoint pause_last_us=") ||
-						!strings.Contains(body, "chunks_done=0 chunks_total=0") {
+					if !strings.Contains(body, "checkpoint ckpt_pause_last_us=") ||
+						!strings.Contains(body, "ckpt_chunks_done=0 ckpt_chunks_total=0") {
 						t.Errorf("round %d: idle disk /metrics missing the checkpoint telemetry line:\n%s", round, body)
 					}
 					for _, f := range []string{"ckpt_pause_last_us", "ckpt_pause_max_us", "ckpt_chunks_done", "ckpt_chunks_total", "ckpt_fails"} {
@@ -442,7 +445,8 @@ func TestMultiShardMetrics(t *testing.T) {
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
-	var m metricsJSON
+	nextSample(t, s)
+	var m metricsReport
 	if err := json.Unmarshal([]byte(httpGet(t, hs.URL+"/metrics?format=json")), &m); err != nil {
 		t.Fatal(err)
 	}
@@ -732,7 +736,7 @@ func TestShardedSingleShardDelegates(t *testing.T) {
 	if s.NumShards() != 1 {
 		t.Fatalf("default NumShards = %d, want 1", s.NumShards())
 	}
-	if s.Tree() == nil || s.Engine() == nil || s.Probe() == nil {
+	if s.Tree() == nil || s.Engine() == nil {
 		t.Fatal("shard-0 delegate accessors returned nil")
 	}
 	if s.Len() != s.Tree().Len() {
@@ -740,7 +744,7 @@ func TestShardedSingleShardDelegates(t *testing.T) {
 	}
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
-	var m metricsJSON
+	var m metricsReport
 	if err := json.Unmarshal([]byte(httpGet(t, hs.URL+"/metrics?format=json")), &m); err != nil {
 		t.Fatal(err)
 	}

@@ -68,6 +68,7 @@ start_server() {
 # different phases of the load: mid-rampup, steady state, etc.
 delays=(0.30 0.70 0.45 1.00 0.25 0.85 0.55 0.40 0.90 0.60)
 
+inwalk=0
 for ((i = 0; i < cycles; i++)); do
   start_server "$chaos"
   # A disjoint key range per cycle keeps every audited write unique.
@@ -76,19 +77,25 @@ for ((i = 0; i < cycles; i++)); do
   lpid=$!
   if [ "$ckptkill" = 1 ]; then
     # Let the load ramp, then kill the instant /metrics shows an
-    # incremental checkpoint walk in flight (chunks_done > 0). If no
-    # walk shows within the budget (tiny tree in early cycles), the
-    # fallback kill still lands near an install: the 2000-mutation
-    # threshold keeps checkpoints nearly back-to-back under load.
+    # incremental checkpoint walk in flight (ckpt_chunks_done > 0, read
+    # as a number from the JSON form). If no walk shows within the
+    # budget (tiny tree in early cycles), the fallback kill still lands
+    # near an install: the 2000-mutation threshold keeps checkpoints
+    # nearly back-to-back under load.
     sleep 0.15
+    chunks=0
     for _ in $(seq 150); do
-      m="$(curl -sf "http://$http/metrics" 2>/dev/null | grep '^checkpoint ' || true)"
-      case "$m" in
-      *"chunks_done=0 "*) ;;
-      *chunks_done=*) break ;;
-      esac
+      chunks="$(curl -sf "http://$http/metrics?format=json" 2>/dev/null |
+        grep -o '"ckpt_chunks_done":[0-9]*' | head -1 | cut -d: -f2 || true)"
+      [ "${chunks:-0}" -gt 0 ] && break
       sleep 0.01
     done
+    if [ "${chunks:-0}" -gt 0 ]; then
+      inwalk=$((inwalk + 1))
+      echo "cycle $i: kill with a checkpoint walk in flight (ckpt_chunks_done=$chunks)"
+    else
+      echo "cycle $i: kill with no checkpoint walk in flight"
+    fi
   else
     sleep "${delays[$((i % ${#delays[@]}))]}"
   fi
@@ -118,5 +125,5 @@ kill -TERM "$spid"
 wait "$spid" || { echo "FAIL: final btserved exited nonzero" >&2; exit 1; }
 
 mode="random kills"
-[ "$ckptkill" = 1 ] && mode="kills timed into the checkpoint window"
+[ "$ckptkill" = 1 ] && mode="kills timed into the checkpoint window, $inwalk inside an in-flight walk"
 echo "crash: $cycles kill -9 cycles ($mode) at shards=$shards, $acked acked writes, zero lost"

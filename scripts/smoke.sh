@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Smoke test for the btserved/btload serving path: for each of the four
 # concurrency-control algorithms, start a server, push a pipelined burst
-# through it with btload, then scrape /metrics and assert the per-level
-# telemetry saw the traffic (nonzero arrival rate and a populated rho_w
-# column). Exercises the real binaries over loopback TCP, not the test
+# through it with btload, scrape /metrics while the burst runs and assert
+# the per-level telemetry saw the traffic (nonzero arrival rate and a
+# populated rho_w column). Windowed rates cover the server's last
+# sampling interval, so the scrape must land during the load, not after
+# it. Exercises the real binaries over loopback TCP, not the test
 # harness.
 #
 #   scripts/smoke.sh            # ~20 s, four server runs
@@ -11,7 +13,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 bin="$(mktemp -d)"
-trap 'kill "${spid:-}" 2>/dev/null || true; rm -rf "$bin"' EXIT
+trap 'kill "${spid:-}" "${lpid:-}" 2>/dev/null || true; rm -rf "$bin"' EXIT
 
 go build -o "$bin/btserved" ./cmd/btserved
 go build -o "$bin/btload" ./cmd/btload
@@ -19,6 +21,27 @@ go build -o "$bin/btquery" ./cmd/btquery
 
 listen=127.0.0.1:9470
 http=127.0.0.1:9471
+
+# busy_metrics — poll /metrics while btload runs and print the first
+# scrape whose sample shows traffic on the merged ops line and on every
+# shard's; after the budget, print the last scrape so the assertions
+# below report what is missing.
+busy_metrics() {
+  local m=""
+  for _ in $(seq 100); do
+    m="$(curl -sf "http://$http/metrics" || true)"
+    if echo "$m" | awk -F'[ =]' '
+        /^(shard=[0-9]+ )?ops / {
+          n++
+          for (i = 1; i < NF; i++) if ($i == "ops_per_sec" && $(i+1) + 0 <= 0) idle = 1
+        }
+        END { exit !(n > 0 && !idle) }'; then
+      break
+    fi
+    sleep 0.05
+  done
+  echo "$m"
+}
 
 for alg in lock-coupling optimistic link-type olc; do
   echo "== $alg =="
@@ -32,9 +55,11 @@ for alg in lock-coupling optimistic link-type olc; do
     sleep 0.2
   done
 
-  "$bin/btload" -addr "$listen" -conns 2 -depth 32 -duration 2s
+  "$bin/btload" -addr "$listen" -conns 2 -depth 32 -duration 2s &
+  lpid=$!
+  metrics="$(busy_metrics)"
+  wait "$lpid"
 
-  metrics="$(curl -sf "http://$http/metrics")"
   echo "$metrics" | grep -E '^level=' || {
     echo "FAIL($alg): /metrics has no per-level telemetry" >&2; exit 1; }
 
@@ -84,7 +109,10 @@ for _ in $(seq 50); do
   sleep 0.2
 done
 
-"$bin/btload" -addr "$listen" -conns 2 -depth 32 -duration 2s -scenario scan-mixed
+"$bin/btload" -addr "$listen" -conns 2 -depth 32 -duration 2s -scenario scan-mixed &
+lpid=$!
+metrics="$(busy_metrics)"
+wait "$lpid"
 
 # Query path end to end: paged scans with token-following, a seek, and a
 # secondary-index lookup, all through btquery against the live server.
@@ -101,7 +129,6 @@ pages=$(echo "$count_out" | awk '{print $(NF-1)}')
 "$bin/btquery" -addr "$listen" lookup 7 | grep -q '^18581050327$' || {
   echo "FAIL(query): lookup 7 missing prefill key 18581050327" >&2; exit 1; }
 
-metrics="$(curl -sf "http://$http/metrics")"
 echo "$metrics" | grep -E '^level=' >/dev/null || {
   echo "FAIL(sharded): /metrics has no merged per-level telemetry" >&2; exit 1; }
 for sh in 0 1 2 3; do
@@ -109,17 +136,19 @@ for sh in 0 1 2 3; do
     echo "FAIL(sharded): /metrics has no gauge line for shard $sh" >&2; exit 1; }
 done
 echo "$metrics" | awk -F'[ =]' '
-  /^shard=/ {
-    for (i = 1; i < NF; i++) if ($i == "rate") r = $(i+1)
-    if (r + 0 <= 0) { print "FAIL: shard line with zero rate: " $0 > "/dev/stderr"; exit 1 }
+  /^shard=[0-9]+ ops / {
+    for (i = 1; i < NF; i++) if ($i == "ops_per_sec") r = $(i+1)
+    if (r + 0 <= 0) { print "FAIL: shard ops line with zero rate: " $0 > "/dev/stderr"; exit 1 }
     n++
   }
   END {
-    if (n != 4) { print "FAIL: " n " shard gauge lines, want 4" > "/dev/stderr"; exit 1 }
+    if (n != 4) { print "FAIL: " n " shard ops lines, want 4" > "/dev/stderr"; exit 1 }
     print "ok: all 4 shards served traffic"
   }'
 # The query traffic above (btload scans + btquery) must show up in the
 # aggregate query counters, and the index must report itself populated.
+# The counters are cumulative, so this scrape follows btquery.
+metrics="$(curl -sf "http://$http/metrics")"
 echo "$metrics" | grep -E '^query ' || {
   echo "FAIL(sharded): /metrics has no query line" >&2; exit 1; }
 echo "$metrics" | awk -F'[ =]' '
