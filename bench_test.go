@@ -145,7 +145,7 @@ func benchTreeParallel(b *testing.B, alg btreeperf.TreeAlgorithm, cap int) {
 
 func BenchmarkTreeMixedParallel(b *testing.B) {
 	for _, alg := range []btreeperf.TreeAlgorithm{
-		btreeperf.LockCoupling, btreeperf.Optimistic, btreeperf.LinkType,
+		btreeperf.LockCoupling, btreeperf.Optimistic, btreeperf.LinkType, btreeperf.TreeOLC,
 	} {
 		for _, cap := range []int{13, 128} {
 			b.Run(fmt.Sprintf("%v/cap%d", alg, cap), func(b *testing.B) {
@@ -157,7 +157,7 @@ func BenchmarkTreeMixedParallel(b *testing.B) {
 
 func BenchmarkTreeSearchParallel(b *testing.B) {
 	for _, alg := range []btreeperf.TreeAlgorithm{
-		btreeperf.LockCoupling, btreeperf.Optimistic, btreeperf.LinkType,
+		btreeperf.LockCoupling, btreeperf.Optimistic, btreeperf.LinkType, btreeperf.TreeOLC,
 	} {
 		b.Run(alg.String(), func(b *testing.B) {
 			tree := btreeperf.NewTree(64, alg)

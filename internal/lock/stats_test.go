@@ -62,13 +62,15 @@ func TestContendedWaitAccumulates(t *testing.T) {
 	}
 }
 
-// countProbe is a minimal Probe accumulating everything atomically.
+// countProbe is a minimal Probe accumulating everything atomically; held
+// and timed sums are weighted as in metrics.LevelStats.
 type countProbe struct {
-	acqR, acqW   atomic.Int64
-	waitR, waitW atomic.Int64
-	heldR, heldW atomic.Int64
-	relR, relW   atomic.Int64
-	present      atomic.Int64
+	acqR, acqW     atomic.Int64
+	waitR, waitW   atomic.Int64
+	heldR, heldW   atomic.Int64
+	timedR, timedW atomic.Int64
+	relR, relW     atomic.Int64
+	present        atomic.Int64
 }
 
 func (p *countProbe) Acquired(write bool, waitNs int64) {
@@ -81,12 +83,14 @@ func (p *countProbe) Acquired(write bool, waitNs int64) {
 	}
 }
 
-func (p *countProbe) Held(write bool, heldNs int64) {
+func (p *countProbe) Released(write bool, heldNs, weight int64) {
 	if write {
-		p.heldW.Add(heldNs)
+		p.heldW.Add(weight * heldNs)
+		p.timedW.Add(weight)
 		p.relW.Add(1)
 	} else {
-		p.heldR.Add(heldNs)
+		p.heldR.Add(weight * heldNs)
+		p.timedR.Add(weight)
 		p.relR.Add(1)
 	}
 }
@@ -95,8 +99,10 @@ func (p *countProbe) WriterPresence(ns int64) { p.present.Add(ns) }
 
 // TestProbeHoldIntegral checks that the per-class hold integrals reported
 // through a Probe match the true hold durations: a writer holding for ~20ms
-// and two overlapping readers each holding ~10ms.
+// and two overlapping readers each holding ~10ms. Three holds are too few
+// for a sampled estimate, so every busy period is timed.
 func TestProbeHoldIntegral(t *testing.T) {
+	timeEveryPeriod(t)
 	var l FCFSRWMutex
 	p := &countProbe{}
 	l.SetProbe(p)
@@ -137,8 +143,9 @@ func TestProbeHoldIntegral(t *testing.T) {
 	}
 }
 
-// TestProbeZeroOverheadPath ensures WaitStats and the probe agree on
-// acquisition counts under concurrent traffic.
+// TestProbeConcurrentCounts ensures WaitStats and the probe agree on
+// acquisition counts under concurrent traffic, and that every release is
+// reported although most reader holds go untimed.
 func TestProbeConcurrentCounts(t *testing.T) {
 	var l FCFSRWMutex
 	p := &countProbe{}

@@ -6,7 +6,8 @@
 // own lock queues:
 //
 //	λ_r, λ_w — lock arrival rates per class (acquisitions/second)
-//	μ_r, μ_w — lock service rates per class (completions per held-second)
+//	μ_r, μ_w — lock service rates per class (completions per held-second;
+//	           μ_r from sampled reader holds, see lock.Probe)
 //	W_r, W_w — mean queue waits, plus log-bucketed wait histograms
 //	ρ_w      — fraction of time a writer is active or queued (the
 //	           root-level value is the paper's saturation gauge)
@@ -131,20 +132,30 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 // LevelStats accumulates lock telemetry for one B-tree level. It
 // implements lock.Probe; share one instance across all node locks of a
 // level. The zero value is ready to use.
+//
+// Counts, waits, writer holds and writer presence are exact. Reader hold
+// time is accumulated as the lock reports it, as weighted timed samples
+// (see lock.Probe), so heldNsR/timedR is a ratio estimate of the mean
+// reader hold; the lock times every writer hold at weight 1.
 type LevelStats struct {
+	// The counters every hold touches come first, sharing a cache line.
 	acquiredR  atomic.Int64
+	releasedR  atomic.Int64
 	acquiredW  atomic.Int64
+	releasedW  atomic.Int64
 	contendedR atomic.Int64
 	contendedW atomic.Int64
 	waitNsR    atomic.Int64
 	waitNsW    atomic.Int64
-	heldNsR    atomic.Int64
+	heldNsR    atomic.Int64 // Σ weight·heldNs over timed reader releases
 	heldNsW    atomic.Int64
-	releasedR  atomic.Int64
-	releasedW  atomic.Int64
+	timedR     atomic.Int64 // Σ weight over timed reader releases
 	presentNs  atomic.Int64
-	waitHistR  Hist
-	waitHistW  Hist
+	// Queue-wait histograms of contended acquisitions only: Snapshot
+	// derives bucket 0 (zero wait) as acquired − contended, so the
+	// uncontended path makes no histogram add.
+	waitHistR Hist
+	waitHistW Hist
 
 	// Latch-free (OLC) read telemetry, fed through lock.VersionProbe:
 	// optimistic readers never enter the lock queue, so their cost
@@ -160,26 +171,29 @@ func (s *LevelStats) Acquired(write bool, waitNs int64) {
 		if waitNs > 0 {
 			s.contendedW.Add(1)
 			s.waitNsW.Add(waitNs)
+			s.waitHistW.Observe(waitNs)
 		}
-		s.waitHistW.Observe(waitNs)
 	} else {
 		s.acquiredR.Add(1)
 		if waitNs > 0 {
 			s.contendedR.Add(1)
 			s.waitNsR.Add(waitNs)
+			s.waitHistR.Observe(waitNs)
 		}
-		s.waitHistR.Observe(waitNs)
 	}
 }
 
-// Held implements lock.Probe.
-func (s *LevelStats) Held(write bool, heldNs int64) {
+// Released implements lock.Probe.
+func (s *LevelStats) Released(write bool, heldNs, weight int64) {
 	if write {
-		s.heldNsW.Add(heldNs)
 		s.releasedW.Add(1)
+		s.heldNsW.Add(heldNs)
 	} else {
-		s.heldNsR.Add(heldNs)
 		s.releasedR.Add(1)
+		if weight > 0 {
+			s.heldNsR.Add(weight * heldNs)
+			s.timedR.Add(weight)
+		}
 	}
 }
 
@@ -203,10 +217,11 @@ type LevelSnapshot struct {
 	ContendedW int64
 	WaitNsR    int64
 	WaitNsW    int64
-	HeldNsR    int64
-	HeldNsW    int64
-	ReleasedR  int64
-	ReleasedW  int64
+	HeldNsR    int64 // estimated total reader hold ns (Σ weight·heldNs)
+	HeldNsW    int64 // total writer hold ns
+	TimedR     int64 // estimated reader releases behind HeldNsR (Σ weight)
+	ReleasedR  int64 // exact
+	ReleasedW  int64 // exact
 	PresentNs  int64
 	WaitHistR  HistSnapshot
 	WaitHistW  HistSnapshot
@@ -216,17 +231,21 @@ type LevelSnapshot struct {
 }
 
 // Snapshot copies the counters. Fields are loaded individually: each is
-// exact, their mutual skew is bounded by in-flight operations.
+// exact, their mutual skew is bounded by in-flight operations. Contended
+// counts load first (a composite literal's calls run in lexical order)
+// and Acquired bumps acquisitions first, so the derived zero-wait bucket
+// never goes negative.
 func (s *LevelStats) Snapshot() LevelSnapshot {
-	return LevelSnapshot{
-		AcquiredR:  s.acquiredR.Load(),
-		AcquiredW:  s.acquiredW.Load(),
+	ls := LevelSnapshot{
 		ContendedR: s.contendedR.Load(),
 		ContendedW: s.contendedW.Load(),
+		AcquiredR:  s.acquiredR.Load(),
+		AcquiredW:  s.acquiredW.Load(),
 		WaitNsR:    s.waitNsR.Load(),
 		WaitNsW:    s.waitNsW.Load(),
 		HeldNsR:    s.heldNsR.Load(),
 		HeldNsW:    s.heldNsW.Load(),
+		TimedR:     s.timedR.Load(),
 		ReleasedR:  s.releasedR.Load(),
 		ReleasedW:  s.releasedW.Load(),
 		PresentNs:  s.presentNs.Load(),
@@ -236,6 +255,9 @@ func (s *LevelStats) Snapshot() LevelSnapshot {
 		ReadRestarts:  s.readRestarts.Load(),
 		ReadFallbacks: s.readFallbacks.Load(),
 	}
+	ls.WaitHistR[0] = ls.AcquiredR - ls.ContendedR
+	ls.WaitHistW[0] = ls.AcquiredW - ls.ContendedW
+	return ls
 }
 
 // MaxLevels bounds the tracked tree height; a realistic B-tree is far
@@ -299,8 +321,8 @@ type LevelRates struct {
 	LambdaW   float64 // writer lock arrivals per second
 	MuR       float64 // reader service rate (completions per held-second)
 	MuW       float64 // writer service rate
-	MeanHoldR float64 // seconds
-	MeanHoldW float64 // seconds
+	MeanHoldR float64 // seconds, estimated from sampled reader holds
+	MeanHoldW float64 // seconds, exact
 	MeanWaitR float64 // seconds, over all acquisitions (0-wait included)
 	MeanWaitW float64 // seconds
 	RhoW      float64 // measured writer-presence fraction of the window
@@ -347,6 +369,7 @@ func Rates(prev, cur Snapshot) []LevelRates {
 			WaitNsW:   ls.WaitNsW - p.WaitNsW,
 			HeldNsR:   ls.HeldNsR - p.HeldNsR,
 			HeldNsW:   ls.HeldNsW - p.HeldNsW,
+			TimedR:    ls.TimedR - p.TimedR,
 			ReleasedR: ls.ReleasedR - p.ReleasedR,
 			ReleasedW: ls.ReleasedW - p.ReleasedW,
 			PresentNs: ls.PresentNs - p.PresentNs,
@@ -369,8 +392,11 @@ func Rates(prev, cur Snapshot) []LevelRates {
 			RestartRate:   float64(d.ReadRestarts) / dt,
 			FallbackRate:  float64(d.ReadFallbacks) / dt,
 		}
-		if d.ReleasedR > 0 && d.HeldNsR > 0 {
-			r.MeanHoldR = float64(d.HeldNsR) / 1e9 / float64(d.ReleasedR)
+		// Mean reader hold is a ratio estimate from sampled busy periods:
+		// weighted timed hold-ns over weighted timed releases (see
+		// lock.Probe). Writer holds are all timed.
+		if d.TimedR > 0 && d.HeldNsR > 0 {
+			r.MeanHoldR = float64(d.HeldNsR) / 1e9 / float64(d.TimedR)
 			r.MuR = 1 / r.MeanHoldR
 		}
 		if d.ReleasedW > 0 && d.HeldNsW > 0 {
